@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,7 +70,8 @@ func TestFlightPoisonForgetRetry(t *testing.T) {
 // Forget racing an in-flight computation leaves already-blocked waiters
 // attached to the old call, while post-Forget requesters compute fresh.
 func TestFlightForgetInFlight(t *testing.T) {
-	f := NewFlight[int, int](nil)
+	stats := &Stats{}
+	f := NewFlight[int, int](stats)
 	inFlight := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -91,6 +93,12 @@ func TestFlightForgetInFlight(t *testing.T) {
 		}
 	}()
 	<-inFlight
+	// Forget only once the waiter has joined the in-flight call (Do counts
+	// the hit before it blocks); a waiter arriving after the Forget would
+	// start its own computation instead.
+	for stats.CacheHits() == 0 {
+		runtime.Gosched()
+	}
 	f.Forget(1)
 	// A requester arriving after the Forget starts a fresh computation even
 	// though the old one is still running.

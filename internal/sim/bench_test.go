@@ -20,8 +20,8 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkProcHandoff measures the coroutine baton-passing cost: one
-// Sleep (park + resume) per iteration.
+// BenchmarkProcHandoff measures the process switch cost: one Sleep (park
+// + resume) per iteration.
 func BenchmarkProcHandoff(b *testing.B) {
 	e := New()
 	e.Spawn("sleeper", func(p *Proc) {
@@ -29,6 +29,28 @@ func BenchmarkProcHandoff(b *testing.B) {
 			p.Sleep(1e-9)
 		}
 	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSpawn measures a process's whole life: spawn, start, and
+// finish, one process per iteration. Each process spawns its successor,
+// which starts once it has finished, so every start after the first can
+// reuse the finished process's coroutine.
+func BenchmarkSpawn(b *testing.B) {
+	e := New()
+	n := 0
+	var body func(*Proc)
+	body = func(p *Proc) {
+		n++
+		if n < b.N {
+			e.Spawn("s", body)
+		}
+	}
+	e.Spawn("s", body)
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)

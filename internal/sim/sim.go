@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -12,20 +11,21 @@ type Time float64
 // Event kinds.
 const (
 	evCallback = iota // run fn inline in the engine goroutine
-	evStart           // start a process goroutine and wait for it to yield
+	evStart           // start a process coroutine and wait for it to yield
 	evResume          // resume a parked process and wait for it to yield
 )
 
+// event is a pooled queue record. Its time and sequence number live in
+// its heap entry, not here, so heap sifts compare keys without chasing
+// event pointers.
 type event struct {
-	t         Time
-	seq       uint64
-	kind      int
+	kind      uint8
+	cancelled bool
 	fn        func()
 	p         *Proc
 	body      func(*Proc)
-	cancelled bool
-	// idx is the event's position in the heap (-1 once popped), maintained
-	// so a pending timer can be rearmed in place with heap.Fix instead of
+	// idx is the event's heap slot (-1 once popped), maintained so a
+	// pending timer can be rearmed in place with eventHeap.fix instead of
 	// leaving a lazily-cancelled tombstone behind.
 	idx int
 	// gen increments every time the struct is returned to the pool, so a
@@ -34,33 +34,98 @@ type event struct {
 	gen uint64
 }
 
-type eventHeap []*event
+// entry is one heap slot: an event and its (t, seq) key.
+type entry struct {
+	t   Time
+	seq uint64
+	ev  *event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// eventHeap is the pending-event queue: a 4-ary min-heap of entries
+// ordered by (t, seq). The order is a strict total order, so every correct
+// heap pops events in the same sequence; the wider fan-out only halves the
+// depth a sift walks. Each event's idx tracks its slot so fix can re-sift
+// a rearmed timer in place.
+type eventHeap []entry
+
+func (eventHeap) less(a, b *entry) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+
+func (h *eventHeap) push(x entry) {
+	*h = append(*h, x)
+	h.up(x, len(*h)-1)
 }
-func (h *eventHeap) Push(x interface{}) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() interface{} {
+
+// pop removes and returns the earliest entry.
+func (h *eventHeap) pop() entry {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	top := old[0]
+	last := old[n]
+	old[n] = entry{}
+	*h = old[:n]
+	if n > 0 {
+		h.down(last, 0)
+	}
+	top.ev.idx = -1
+	return top
+}
+
+// fix restores the heap order after the entry at slot i changed its key.
+func (h eventHeap) fix(i int) {
+	if h.up(h[i], i) == i {
+		h.down(h[i], i)
+	}
+}
+
+// up sifts x from the hole at slot i toward the root and returns the slot
+// it settles in.
+func (h eventHeap) up(x entry, i int) int {
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !h.less(&x, &h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].ev.idx = i
+		i = parent
+	}
+	h[i] = x
+	x.ev.idx = i
+	return i
+}
+
+// down sifts x from the hole at slot i toward the leaves.
+func (h eventHeap) down(x entry, i int) {
+	n := len(h)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		end := first + 4
+		if end > n {
+			end = n
+		}
+		m := first
+		for j := first + 1; j < end; j++ {
+			if h.less(&h[j], &h[m]) {
+				m = j
+			}
+		}
+		if !h.less(&h[m], &x) {
+			break
+		}
+		h[i] = h[m]
+		h[i].ev.idx = i
+		i = m
+	}
+	h[i] = x
+	x.ev.idx = i
 }
 
 // Timer is a handle to a scheduled callback that can be cancelled before it
@@ -104,10 +169,10 @@ type Engine struct {
 	seq    uint64
 	live   int            // processes started and not yet finished
 	parked map[*Proc]bool // processes waiting on a Signal
-	yield  chan struct{}  // baton: process -> engine
 	free   []*event       // recycled event structs
-	// panicVal carries a panic out of a process goroutine so that Run can
-	// re-panic in the caller's goroutine with useful context.
+	idle   []*coro        // coroutines whose process finished, ready for reuse
+	// panicVal carries a panic out of a process coroutine so that Run can
+	// re-panic on the engine's side with useful context.
 	panicVal interface{}
 	// MaxEvents, when non-zero, aborts Run with ErrEventBudget after
 	// dispatching that many events. It is a guard against accidental
@@ -127,10 +192,7 @@ type Engine struct {
 
 // New returns a ready-to-use Engine with the clock at zero.
 func New() *Engine {
-	return &Engine{
-		parked: make(map[*Proc]bool),
-		yield:  make(chan struct{}),
-	}
+	return &Engine{parked: make(map[*Proc]bool)}
 }
 
 // Now returns the current virtual time.
@@ -188,10 +250,10 @@ func (e *Engine) release(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-func (e *Engine) push(ev *event) {
-	ev.seq = e.seq
+// push queues ev at time t behind every event already queued for t.
+func (e *Engine) push(t Time, ev *event) {
+	e.events.push(entry{t: t, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.events, ev)
 }
 
 func (e *Engine) schedule(t Time, fn func()) *event {
@@ -199,10 +261,9 @@ func (e *Engine) schedule(t Time, fn func()) *event {
 		panic(fmt.Sprintf("sim: At(%v) is in the past (now=%v)", t, e.now))
 	}
 	ev := e.alloc()
-	ev.t = t
 	ev.kind = evCallback
 	ev.fn = fn
-	e.push(ev)
+	e.push(t, ev)
 	return ev
 }
 
@@ -228,12 +289,12 @@ func (e *Engine) AtInto(tm *Timer, t Time, fn func()) {
 		panic(fmt.Sprintf("sim: At(%v) is in the past (now=%v)", t, e.now))
 	}
 	if ev := tm.ev; ev != nil && ev.gen == tm.gen && ev.idx >= 0 {
-		ev.t = t
 		ev.fn = fn
 		ev.cancelled = false
-		ev.seq = e.seq
+		x := &e.events[ev.idx]
+		x.t, x.seq = t, e.seq
 		e.seq++
-		heap.Fix(&e.events, ev.idx)
+		e.events.fix(ev.idx)
 		tm.at = t
 		return
 	}
@@ -251,21 +312,21 @@ func (e *Engine) AfterInto(tm *Timer, d Time, fn func()) { e.AtInto(tm, e.now+d,
 // protocol continuations).
 func (e *Engine) Schedule(d Time, fn func()) { e.schedule(e.now+d, fn) }
 
-// Proc is a simulated process. Each Proc runs in its own goroutine but
-// executes strictly interleaved with the engine and all other processes.
+// Proc is a simulated process. Each Proc runs on a coroutine and executes
+// strictly interleaved with the engine and all other processes.
 type Proc struct {
-	e      *Engine
-	name   string
-	resume chan struct{}
+	e    *Engine
+	name string
+	co   *coro // the coroutine running the body; nil before start and after finish
 	// site describes what the process is currently blocked on (set by
 	// WaitAt), so deadlock and watchdog reports can say *why* a process is
 	// parked, not just that it is. Formatting is deferred to report time so
 	// the hot path never allocates a string.
 	site fmt.Stringer
 	// dying marks a process killed by Kill (or one that called Exit): its
-	// goroutine unwinds at the next scheduling point and never runs again.
+	// body unwinds at the next scheduling point and never runs again.
 	dying bool
-	// finished is set once the process goroutine has returned, so Kill on a
+	// finished is set once the process body has returned, so Kill on a
 	// completed process is a no-op instead of a hang.
 	finished bool
 }
@@ -290,23 +351,22 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(*Proc)) *Proc {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: SpawnAt(%v) is in the past (now=%v)", t, e.now))
 	}
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
+	p := &Proc{e: e, name: name}
 	e.live++
 	ev := e.alloc()
-	ev.t = t
 	ev.kind = evStart
 	ev.p = p
 	ev.body = fn
-	e.push(ev)
+	e.push(t, ev)
 	return p
 }
 
-// procExit is the panic sentinel that unwinds a killed process goroutine at
-// its next scheduling point. The spawn wrapper recovers it and treats the
-// unwind as a clean process exit (deferred functions still run).
+// procExit is the panic sentinel that unwinds a killed process at its next
+// scheduling point. The coroutine recovers it and treats the unwind as a
+// clean process exit (deferred functions still run).
 type procExit struct{}
 
-// Exit terminates the calling process immediately: its goroutine unwinds
+// Exit terminates the calling process immediately: its body unwinds
 // through deferred functions and never runs again. Must be called from
 // process context (inside the process's own body).
 func (p *Proc) Exit() {
@@ -319,7 +379,7 @@ func (p *Proc) Exit() {
 func (p *Proc) Dying() bool { return p.dying }
 
 // Kill terminates a process from engine context (or from another process).
-// The victim's goroutine unwinds — running deferred functions — at its next
+// The victim's body unwinds — running deferred functions — at its next
 // scheduling point and never executes user code again:
 //
 //   - signal-parked victims get exactly one unwind resume here (Signal.Fire
@@ -340,22 +400,12 @@ func (e *Engine) Kill(p *Proc) {
 	}
 }
 
-// park hands the baton back to the engine and blocks until resumed.
-func (p *Proc) park() {
-	p.e.yield <- struct{}{}
-	<-p.resume
-	if p.dying {
-		panic(procExit{})
-	}
-}
-
 // resumeAt schedules an evResume for p at time t.
 func (e *Engine) resumeAt(t Time, p *Proc) {
 	ev := e.alloc()
-	ev.t = t
 	ev.kind = evResume
 	ev.p = p
-	e.push(ev)
+	e.push(t, ev)
 }
 
 // Sleep suspends the process for d seconds of virtual time. Negative
@@ -506,7 +556,7 @@ func (s *Signal) Fire(e *Engine) {
 	for _, p := range waiters {
 		if p.dying {
 			// Killed while parked here: Kill already scheduled the one
-			// unwind resume; a second resume would wedge the baton.
+			// unwind resume; a second would resume a finished process.
 			continue
 		}
 		delete(e.parked, p)
@@ -676,7 +726,9 @@ func (e *ErrEventBudget) Error() string {
 // goroutine that owns the engine (the "engine goroutine"). It returns nil on
 // a clean drain, a *DeadlockError if processes remain parked, an
 // *ErrEventBudget if MaxEvents was exceeded, or the error passed to Stop if
-// the run was aborted. A panic inside a process is re-panicked from Run.
+// the run was aborted. A panic inside a process is re-panicked from Run;
+// runtime.Goexit inside a process (t.FailNow, say) ends the goroutine that
+// called Run as well.
 func (e *Engine) Run() error {
 	if err := e.run(0, false); err != nil {
 		return err
@@ -716,13 +768,13 @@ func (e *Engine) RunUntil(limit Time) error {
 // is queued.
 func (e *Engine) NextEventTime() (t Time, ok bool) {
 	for len(e.events) > 0 {
-		ev := e.events[0]
-		if ev.cancelled {
-			heap.Pop(&e.events)
-			e.release(ev)
+		top := e.events[0]
+		if top.ev.cancelled {
+			e.events.pop()
+			e.release(top.ev)
 			continue
 		}
-		return ev.t, true
+		return top.t, true
 	}
 	return 0, false
 }
@@ -735,7 +787,7 @@ func (e *Engine) LiveProcs() int { return e.live }
 // run is the dispatch core shared by Run and RunUntil. When bounded is set,
 // dispatch stops (returning nil) once the earliest pending event is at or
 // past limit; when clear, limit is ignored and the queue drains fully.
-func (e *Engine) run(limit Time, bounded bool) error {
+func (e *Engine) run(limit Time, bounded bool) (err error) {
 	if e.running {
 		panic("sim: Engine.Run re-entered; an Engine is owned by one goroutine-group at a time (see the package ownership contract)")
 	}
@@ -743,7 +795,12 @@ func (e *Engine) run(limit Time, bounded bool) error {
 		return e.stopErr
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() {
+		e.running = false
+		if err != nil || len(e.events) == 0 {
+			e.stopIdle()
+		}
+	}()
 	for len(e.events) > 0 {
 		if e.MaxEvents != 0 && e.dispatched >= e.MaxEvents {
 			return &ErrEventBudget{Dispatched: e.dispatched}
@@ -752,16 +809,16 @@ func (e *Engine) run(limit Time, bounded bool) error {
 		// its place in the heap untouched (a pop/re-push would assign a fresh
 		// sequence number and reorder it after same-instant peers it
 		// originally preceded, breaking replay identity).
-		if top := e.events[0]; top.cancelled {
-			heap.Pop(&e.events)
-			e.release(top)
+		if top := &e.events[0]; top.ev.cancelled {
+			e.release(e.events.pop().ev)
 			continue
 		} else if bounded && top.t >= limit {
 			return nil
 		}
-		ev := heap.Pop(&e.events).(*event)
+		next := e.events.pop()
+		ev := next.ev
 		e.dispatched++
-		e.now = ev.t
+		e.now = next.t
 		switch ev.kind {
 		case evCallback:
 			fn := ev.fn
@@ -770,31 +827,15 @@ func (e *Engine) run(limit Time, bounded bool) error {
 		case evStart:
 			p, body := ev.p, ev.body
 			e.release(ev)
-			//hanlint:allow simtime the one real goroutine per simulated process; the baton handoff below serialises it
-			go func() {
-				defer func() {
-					p.finished = true
-					if r := recover(); r != nil {
-						if _, killed := r.(procExit); !killed {
-							e.panicVal = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-						}
-					}
-					e.live--
-					e.yield <- struct{}{}
-				}()
-				if !p.dying {
-					body(p)
-				}
-			}()
-			<-e.yield
+			e.start(p, body)
 		case evResume:
 			p := ev.p
 			e.release(ev)
-			p.resume <- struct{}{}
-			<-e.yield
+			e.resume(p)
 		}
-		if e.panicVal != nil {
-			panic(e.panicVal)
+		if v := e.panicVal; v != nil {
+			e.panicVal = nil
+			panic(v)
 		}
 		if e.stopErr != nil {
 			return e.stopErr
