@@ -44,7 +44,9 @@ ci: build lint race
 
 # Fault matrix: every builtin plan across three seeds (what the CI
 # fault-matrix job runs, one cell per runner), plus the crash matrix over
-# the crash plans.
+# the crash plans, then one pass with arena debugging on: pooled P2P
+# records live through drops and crashes, and HAN_ARENA_DEBUG quarantines
+# every returned slot so a use after recycle reads reset state and fails.
 chaos:
 	@for seed in 1 2 3; do for plan in drops flaps stragglers; do \
 		echo "== seed $$seed plan $$plan"; \
@@ -56,6 +58,7 @@ chaos:
 		HAN_FAULT_SEED=$$seed HAN_CRASH_PLAN=$$plan \
 		$(GO) test -count=1 -run 'CrashMatrix' ./internal/han/ || exit 1; \
 	done; done
+	HAN_ARENA_DEBUG=1 $(GO) test -count=1 -run 'Differential|Crash|FaultMatrix|Chaos' ./internal/mpi/ ./internal/han/
 
 # Chaos soak (the CI chaos-soak job): the fault and crash matrices under
 # the race detector across five seeds — the long-haul robustness gate.
@@ -90,12 +93,14 @@ docs:
 
 # Allocator benchmarks, micro to macro: the flow-level rebalance
 # micro-benchmarks (incremental vs reference), the paper-scale 4096-rank
-# wall-clock point on both allocation paths, and the 98304-rank phantom
-# scale tier with its memory accounting. Compare against
-# BENCH_allocator.json; regenerate that baseline from this output.
+# wall-clock point on the default path, the reference rate allocator and
+# (internal/mpi) the reference P2P oracle with heap flows, and the
+# 98304-rank phantom scale tier with its memory accounting. Compare
+# against BENCH_allocator.json; regenerate that baseline from this output.
 bench-alloc:
 	$(GO) test -run xxx -bench Rebalance -benchmem ./internal/flow/
 	$(GO) test -run xxx -bench 'Fig10Scale4096|Scale98k' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'Fig10Scale4096RefPool' -benchtime 1x -benchmem ./internal/mpi/
 
 # Parallel tuning-sweep benchmark: serial vs parallel RunSearch wall-clock
 # (tables are byte-identical across the worker axis). Compare against

@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"github.com/hanrepro/han/internal/apps"
-	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/autotune"
 	"github.com/hanrepro/han/internal/bench"
 	"github.com/hanrepro/han/internal/cluster"
@@ -198,7 +197,8 @@ func BenchmarkFig10BcastShaheen(b *testing.B) {
 // iteration stays in seconds. It exists to measure the *simulator's own*
 // cost at headline scale; BENCH_allocator.json records its baseline. The
 // RefAlloc variant runs the same workload on the from-scratch reference
-// allocator for an A/B comparison — both must report byte-identical sim-us.
+// allocator for an A/B comparison — both must report byte-identical sim-us
+// (internal/mpi's BenchmarkFig10Scale4096RefPool is the arena A/B).
 func BenchmarkFig10Scale4096(b *testing.B) {
 	spec := cluster.ShaheenII()
 	var hanT float64
@@ -208,28 +208,25 @@ func BenchmarkFig10Scale4096(b *testing.B) {
 	b.ReportMetric(hanT*1e6, "sim-us/HAN")
 }
 
-func BenchmarkFig10Scale4096RefPool(b *testing.B) {
-	prev := arena.Default
-	arena.Default = false
-	defer func() { arena.Default = prev }()
+func BenchmarkFig10Scale4096RefAlloc(b *testing.B) {
 	spec := cluster.ShaheenII()
 	var hanT float64
 	for i := 0; i < b.N; i++ {
-		hanT = imbPoint(spec, bench.HANSystem(nil), coll.Bcast, 256<<10)
+		hanT = imbPoint(spec, referenceAllocHAN(), coll.Bcast, 256<<10)
 	}
 	b.ReportMetric(hanT*1e6, "sim-us/HAN")
 }
 
-func BenchmarkFig10Scale4096RefAlloc(b *testing.B) {
-	prev := flow.DefaultAllocator
-	flow.DefaultAllocator = flow.Reference
-	defer func() { flow.DefaultAllocator = prev }()
-	spec := cluster.ShaheenII()
-	var hanT float64
-	for i := 0; i < b.N; i++ {
-		hanT = imbPoint(spec, bench.HANSystem(nil), coll.Bcast, 256<<10)
+// referenceAllocHAN is HAN with every world's flow network on the
+// from-scratch reference rate allocator.
+func referenceAllocHAN() bench.System {
+	sys := bench.HANSystem(nil)
+	setup := sys.Setup
+	sys.Setup = func(w *mpi.World) bench.Ops {
+		w.Mach.Net.SetAllocator(flow.Reference)
+		return setup(w)
 	}
-	b.ReportMetric(hanT*1e6, "sim-us/HAN")
+	return sys
 }
 
 // BenchmarkScale98k is the phantom scale tier: one payload-free HAN
@@ -321,34 +318,12 @@ func TestScaleSmoke(t *testing.T) {
 	t.Log(r)
 }
 
-// TestPoolingParityEndToEnd runs a full HAN broadcast through the whole
-// MPI stack with arena pooling on and off and requires bit-identical
-// virtual times — the end-to-end form of internal/mpi's and
-// internal/flow's pooled-vs-reference differential suites.
-func TestPoolingParityEndToEnd(t *testing.T) {
-	measure := func(pooled bool) uint64 {
-		prev := arena.Default
-		arena.Default = pooled
-		defer func() { arena.Default = prev }()
-		return math.Float64bits(imbPoint(shaheenSmall(), bench.HANSystem(nil), coll.Bcast, 4<<20))
-	}
-	pooled, ref := measure(true), measure(false)
-	if pooled != ref {
-		t.Fatalf("pooling changes end-to-end time: pooled %016x vs reference %016x", pooled, ref)
-	}
-}
-
 // TestAllocatorParityEndToEnd runs a full HAN broadcast through the whole
 // MPI stack under both allocators and requires bit-identical virtual times
 // — the end-to-end form of internal/flow's differential tests.
 func TestAllocatorParityEndToEnd(t *testing.T) {
-	measure := func(a flow.Allocator) uint64 {
-		prev := flow.DefaultAllocator
-		flow.DefaultAllocator = a
-		defer func() { flow.DefaultAllocator = prev }()
-		return math.Float64bits(imbPoint(shaheenSmall(), bench.HANSystem(nil), coll.Bcast, 4<<20))
-	}
-	inc, ref := measure(flow.Incremental), measure(flow.Reference)
+	inc := math.Float64bits(imbPoint(shaheenSmall(), bench.HANSystem(nil), coll.Bcast, 4<<20))
+	ref := math.Float64bits(imbPoint(shaheenSmall(), referenceAllocHAN(), coll.Bcast, 4<<20))
 	if inc != ref {
 		t.Fatalf("allocators disagree end-to-end: incremental %016x vs reference %016x", inc, ref)
 	}

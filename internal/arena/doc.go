@@ -24,6 +24,10 @@
 // own pools on construction, so a pool is only ever touched by the
 // goroutine-group of the one engine it serves — partition migration
 // between host workers is safe because the coordinator's round barrier
-// orders each partition's windows. The package-level Default flag (the
-// -refpool A/B switch) is read at construction time only.
+// orders each partition's windows.
+//
+// Pooling is not switchable globally: the from-scratch allocation paths
+// the pools replaced survive only as test-side oracles (flow's per-network
+// SetPooling, the reference P2P protocol in internal/mpi's tests), which
+// the differential suites compare against bit for bit.
 package arena

@@ -277,7 +277,7 @@ func (t *Table) buildIndex() *decideIndex {
 // log-space (the paper's step-2 interpolation). The lookup binary-searches
 // a per-kind index of sampled-size boundaries and allocates nothing on the
 // hot path; it is byte-for-byte equivalent to the reference linear scan
-// (decideScan), which the differential tests pin.
+// (decideScan in decide_test.go), which the differential tests pin.
 func (t *Table) Decide(kind coll.Kind, m int) han.Config {
 	idx := t.idx
 	if idx == nil || idx.n != len(t.Entries) {
@@ -350,32 +350,6 @@ func bitLen(v int) int {
 		n++
 	}
 	return n
-}
-
-// decideScan is the reference decision rule: the linear entry scan the
-// binary-search index replaced. It is kept as the oracle for the
-// differential tests (the same pattern as flow's reference allocator and
-// arena's reference pools).
-func (t *Table) decideScan(kind coll.Kind, m int) han.Config {
-	best := -1
-	bestDist := 0.0
-	for i, e := range t.Entries {
-		if e.In.T != kind {
-			continue
-		}
-		d := logDist(e.In.M, m)
-		if best == -1 || d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	if best == -1 {
-		return han.DefaultDecision(kind, m)
-	}
-	cfg := t.Entries[best].Cfg
-	if cfg.FS > m {
-		cfg.FS = m
-	}
-	return cfg
 }
 
 // DecisionFunc adapts the table to han.DecisionFunc.

@@ -183,3 +183,28 @@ func BenchmarkDecideScan(b *testing.B) {
 		_ = table.decideScan(coll.Bcast, sizes[i%len(sizes)])
 	}
 }
+
+// decideScan is the reference decision rule: the linear entry scan the
+// binary-search index replaced, kept as the oracle for the differential
+// tests below.
+func (t *Table) decideScan(kind coll.Kind, m int) han.Config {
+	best := -1
+	bestDist := 0.0
+	for i, e := range t.Entries {
+		if e.In.T != kind {
+			continue
+		}
+		d := logDist(e.In.M, m)
+		if best == -1 || d < bestDist {
+			best, bestDist = i, d
+		}
+	}
+	if best == -1 {
+		return han.DefaultDecision(kind, m)
+	}
+	cfg := t.Entries[best].Cfg
+	if cfg.FS > m {
+		cfg.FS = m
+	}
+	return cfg
+}

@@ -21,10 +21,6 @@ const (
 	Reference
 )
 
-// DefaultAllocator is the allocator new networks start with. Tools flip it
-// to Reference for A/B runs (see cmd/hanbench -refalloc).
-var DefaultAllocator = Incremental
-
 // Resource is a capacity-limited element of the platform.
 type Resource struct {
 	// Name identifies the resource in debug output.
@@ -135,10 +131,10 @@ type Network struct {
 	mon       *Monitor
 }
 
-// NewNetwork returns a flow network bound to the given engine, using
-// DefaultAllocator and arena.Default pooling.
+// NewNetwork returns a flow network bound to the given engine, with the
+// Incremental allocator and arena pooling of flows.
 func NewNetwork(e *sim.Engine) *Network {
-	n := &Network{e: e, mode: DefaultAllocator, pooling: arena.Default}
+	n := &Network{e: e, mode: Incremental, pooling: true}
 	n.pool = arena.NewPool(arena.Options[Flow]{
 		Name: "flow.Flow",
 		Init: func(f *Flow) {

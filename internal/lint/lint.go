@@ -124,7 +124,6 @@ func All() []*Analyzer {
 		TypederrAnalyzer,
 		EngineboundAnalyzer,
 		ServeboundAnalyzer,
-		PartitionboundAnalyzer,
 		ArenaallocAnalyzer,
 		DetflowAnalyzer,
 		EpochsafeAnalyzer,

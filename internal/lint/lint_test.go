@@ -192,29 +192,6 @@ func TestArenaalloc(t *testing.T) {
 	linttest.Run(t, lint.ArenaallocAnalyzer, "arenaalloc")
 }
 
-func TestPartitionbound(t *testing.T) {
-	linttest.Run(t, lint.PartitionboundAnalyzer, "partitionbound")
-}
-
-// TestPartitionboundScope pins the owning-package exemption: only
-// internal/sim hosts the coordinator's window loop, so only it may call
-// the partition-advance Engine methods; every other package — including
-// the executor-adjacent ones and the fixtures — is checked.
-func TestPartitionboundScope(t *testing.T) {
-	applies := lint.PartitionboundAnalyzer.AppliesTo
-	for path, want := range map[string]bool{
-		"github.com/hanrepro/han/internal/sim":   false,
-		"internal/sim":                           false,
-		"github.com/hanrepro/han/internal/bench": true,
-		"github.com/hanrepro/han/internal/exec":  true,
-		"partitionbound":                         true,
-	} {
-		if got := applies(path); got != want {
-			t.Errorf("partitionbound.AppliesTo(%q) = %v, want %v", path, got, want)
-		}
-	}
-}
-
 // TestDetflow drives the taint engine end to end inside one package:
 // direct flows, 2- and 3-deep call chains, argument→result flows, sinks
 // inside callees, struct fields, exec-closure mutation, select arms, map

@@ -122,8 +122,8 @@ type crashState struct {
 
 // armCrashes wires the injector's crash schedule into the world: timed
 // crashes become engine callbacks, crash-on-Nth-collective triggers are
-// recorded for CollBegin, and from here on P2P traffic runs the reference
-// path with reliable eager delivery and per-target request watching.
+// recorded for CollBegin, and from here on eager sends run the reliable
+// protocol (pool.go) and requests addressed at crash targets are watched.
 func (w *World) armCrashes() {
 	n := w.Size()
 	cs := &crashState{
@@ -154,6 +154,38 @@ func (w *World) armCrashes() {
 		}
 		spec := c
 		w.Eng().At(sim.Time(spec.At), func() { w.crashNow(spec.Rank, spec.Node) })
+	}
+}
+
+// newRequest returns the request for a send or receive addressed at world
+// rank peer (AnySource for a wildcard receive). An operation on a crash
+// target gets a heap request: the watch registry holds it across
+// collective boundaries and callers read Err after Wait, so it must never
+// be recycled. Every other request comes from the pool.
+func (w *World) newRequest(peer int) *Request {
+	if cs := w.crash; cs != nil && peer >= 0 && cs.isTarget[peer] {
+		return NewRequest()
+	}
+	return w.reqPool.Get()
+}
+
+// failIfDead fails req at once when peer has already been declared dead,
+// counting the operation as a dead letter, and reports whether it did.
+func (w *World) failIfDead(req *Request, peer int) bool {
+	cs := w.crash
+	if cs == nil || peer < 0 || !cs.dead[peer] {
+		return false
+	}
+	w.m.deadLetters.Inc()
+	req.fail(w.Eng(), &PeerDeadError{Rank: peer, Via: cs.deadVia(peer)})
+	return true
+}
+
+// watch registers an outstanding operation addressed at peer, so its
+// declaration fails the request. Only crash targets are watched.
+func (w *World) watch(peer int, en watchEntry) {
+	if cs := w.crash; cs != nil && peer >= 0 && cs.isTarget[peer] {
+		cs.watch[peer] = append(cs.watch[peer], en)
 	}
 }
 

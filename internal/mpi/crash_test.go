@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/fault"
 	"github.com/hanrepro/han/internal/sim"
@@ -345,5 +346,59 @@ func TestZeroCrashPlanIdentical(t *testing.T) {
 	withPlan := runFault(t, cluster.Mini(2, 2), 7, &fault.Plan{}, body)
 	if clean != withPlan {
 		t.Errorf("empty plan perturbed the run: %v vs %v", clean, withPlan)
+	}
+}
+
+// A pooled request is recycled the moment Wait returns. A later death
+// declaration must fail only operations still addressed at the dead rank,
+// never a new operation that took over a slot an earlier, completed
+// operation held — including one that completed against the rank that
+// later dies.
+func TestCrashDeclarationSparesRecycledRequest(t *testing.T) {
+	var (
+		fromDoomed, first, second *Request
+		pendingAtCheck            bool
+		errAtCheck                error
+		got                       []byte
+	)
+	// Rank 3 crashes at 100µs; the heartbeat declares it at 400µs.
+	w, _ := runCrash(t, cluster.Mini(2, 2), 1, crashAt(3, 100e-6), func(p *Proc) {
+		c := p.W.World()
+		switch p.Rank {
+		case 3:
+			c.Send(p, Bytes(pattern(64, 3)), 1, 1)
+		case 2:
+			c.Send(p, Bytes(pattern(64, 2)), 1, 2)
+			p.Sim.Sleep(1e-3) // well past the declaration
+			c.Send(p, Bytes(pattern(64, 4)), 1, 3)
+		case 1:
+			fromDoomed = c.Irecv(p, Bytes(make([]byte, 64)), 3, 1)
+			p.Wait(fromDoomed)
+			first = c.Irecv(p, Bytes(make([]byte, 64)), 2, 2)
+			p.Wait(first)
+			got = make([]byte, 64)
+			second = c.Irecv(p, Bytes(got), 2, 3)
+			p.Sim.Sleep(600e-6) // the declaration lands while second is pending
+			pendingAtCheck, errAtCheck = !second.Test(), second.Err()
+			p.Wait(second)
+		}
+	})
+	// HAN_ARENA_DEBUG quarantines returned slots instead of reusing them.
+	if second != first && !arena.Debug {
+		t.Fatal("the second receive did not reuse the first one's pooled request; the test no longer exercises recycling")
+	}
+	if got := w.DeadRanks(); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("DeadRanks = %v, want [3]", got)
+	}
+	if !pendingAtCheck || errAtCheck != nil {
+		t.Fatalf("declaring rank 3 dead touched a recycled request: pending=%v err=%v", pendingAtCheck, errAtCheck)
+	}
+	if !bytes.Equal(got, pattern(64, 4)) {
+		t.Fatal("the receive on the recycled request delivered the wrong payload")
+	}
+	// Addressed at a crash target, the first receive got a heap request:
+	// its verdict stays readable after Wait.
+	if !fromDoomed.Test() || fromDoomed.Err() != nil {
+		t.Fatalf("receive from rank 3 before its crash: done=%v err=%v, want done with no error", fromDoomed.Test(), fromDoomed.Err())
 	}
 }

@@ -35,13 +35,12 @@ type message struct {
 	eager       bool
 	dataArrived *sim.Signal // payload fully at the receiver
 	onMatch     func()      // rendezvous only: start the clear-to-send
-	op          *sendOp     // owning pooled record; nil on the reference path
+	op          *sendOp     // owning pooled record; nil under the test oracle
 }
 
-// recvReq is a posted receive awaiting a matching message. Pooled
-// receives (pool.go) carry persistent completion closures and are
-// recycled once the payload has been copied out; reference receives are
-// heap-allocated per call.
+// recvReq is a posted receive awaiting a matching message. Receives are
+// pooled (pool.go): they carry persistent completion closures and are
+// recycled once the payload has been copied out.
 type recvReq struct {
 	src, tag int
 	buf      Buf
@@ -49,11 +48,16 @@ type recvReq struct {
 	comm     *Comm
 	dstWorld int
 
-	pooled   bool
-	m        *message // matched message (pooled path)
+	m        *message // matched message
 	onData   func()   // payload arrived: start receive-side overhead
 	onOvDone func()   // overhead done: copy out and complete
 	slot     arena.Slot
+}
+
+// p2pProtocol is a whole P2P implementation: World.oracle's type.
+type p2pProtocol interface {
+	isend(c *Comm, p *Proc, buf Buf, dst, tag, me int) *Request
+	irecv(c *Comm, p *Proc, buf Buf, src, tag int) *Request
 }
 
 type endpoint struct {
@@ -100,8 +104,8 @@ func removeMsgAt(s []*message, i int) []*message {
 
 // Isend starts a non-blocking send of buf to comm rank dst with the given
 // tag. The returned request completes when the sender's buffer may be
-// reused (eager: payload drained into the network; rendezvous: transfer
-// finished).
+// reused (eager: payload drained into the network, or acknowledged under
+// a drop or crash plan; rendezvous: transfer finished).
 func (c *Comm) Isend(p *Proc, buf Buf, dst, tag int) *Request {
 	w := c.w
 	if dst < 0 || dst >= c.Size() {
@@ -111,25 +115,18 @@ func (c *Comm) Isend(p *Proc, buf Buf, dst, tag int) *Request {
 	if me < 0 {
 		panic("mpi: Isend by non-member rank")
 	}
-	if w.p2pPooled() {
-		return c.isendPooled(p, buf, dst, tag, me)
+	if w.oracle != nil {
+		return w.oracle.isend(c, p, buf, dst, tag, me)
 	}
-	req := NewRequest()
-	req.site = WaitSite{Op: "send", Peer: dst, Tag: tag, Ctx: c.ctx}
 	srcW, dstW := p.Rank, c.ranks[dst]
-	eng := w.Eng()
-	if cs := w.crash; cs != nil {
-		if cs.dead[dstW] {
-			// The peer has already been declared dead: fail fast instead of
-			// spending attempts against a rank every survivor knows is gone.
-			w.m.deadLetters.Inc()
-			req.fail(eng, &PeerDeadError{Rank: dstW, Via: cs.deadVia(dstW)})
-			return req
-		}
-		if cs.isTarget[dstW] {
-			cs.watch[dstW] = append(cs.watch[dstW], watchEntry{req: req})
-		}
+	req := w.newRequest(dstW)
+	req.site = WaitSite{Op: "send", Peer: dst, Tag: tag, Ctx: c.ctx}
+	if w.failIfDead(req, dstW) {
+		// Fail fast instead of spending attempts against a rank every
+		// survivor knows is gone.
+		return req
 	}
+	w.watch(dstW, watchEntry{req: req})
 
 	// Snapshot real payloads so the sender may reuse its buffer as soon as
 	// the request completes, regardless of when the receiver copies.
@@ -140,19 +137,23 @@ func (c *Comm) Isend(p *Proc, buf Buf, dst, tag int) *Request {
 		data = Bytes(cp)
 	}
 
-	msg := &message{
-		src:         me,
-		tag:         tag,
-		size:        buf.Len(),
-		data:        data,
-		eager:       buf.Len() <= w.Pers.EagerThreshold,
-		dataArrived: sim.NewSignal(),
-	}
+	op := w.sendPool.Get()
+	op.req = req
+	op.srcW, op.dstW, op.ctx = srcW, dstW, c.ctx
+	op.refs = 2 // sender side + receive side
+	op.msg.src, op.msg.tag, op.msg.size = me, tag, buf.Len()
+	op.msg.data = data
+	op.msg.eager = buf.Len() <= w.Pers.EagerThreshold
+	// Eff is a pure function of the size, so evaluating it once here
+	// instead of at every wire start is value-identical.
+	op.bytes = float64(op.msg.size) / w.Pers.Eff(max(op.msg.size, 1))
+	op.pair = w.pair(srcW, dstW)
+
 	w.Tracer.Record(trace.Event{
 		T: float64(p.Now()), Rank: srcW, Kind: trace.KindSend,
 		Name: "send", Size: buf.Len(), Peer: dstW,
 	})
-	if msg.eager {
+	if op.msg.eager {
 		w.m.sendsEager.Inc()
 	} else {
 		w.m.sendsRdv.Inc()
@@ -160,163 +161,19 @@ func (c *Comm) Isend(p *Proc, buf Buf, dst, tag int) *Request {
 	w.m.sentBytes.Add(float64(buf.Len()))
 	w.m.msgSize.Observe(float64(buf.Len()))
 
-	// Data flows between one (src, dst) pair are serialised FIFO, as on a
-	// real per-peer connection: message k's payload enters the wire only
-	// after message k-1's has drained. Without this, concurrent pipelined
-	// segments would fair-share the link and all complete simultaneously,
-	// which no MPI transport does.
-	startData := func(done func()) {
-		eff := w.Pers.Eff(max(msg.size, 1))
-		bytes := float64(msg.size) / eff
-		key := pairKey{srcW, dstW}
-		prev := w.pairTail[key]
-		mine := sim.NewSignal()
-		w.pairTail[key] = mine
-		run := func() {
-			f := w.Mach.Net.Start(bytes, w.dataPath(srcW, dstW)...)
-			f.Done().OnFire(func() {
-				mine.Fire(eng)
-				done()
-			})
-		}
-		if prev == nil {
-			run()
-		} else {
-			prev.OnFire(run)
-		}
-	}
+	// Enqueue in issue order now; the envelope is delivered by drainEnv
+	// once the send overhead + latency have elapsed AND every earlier
+	// envelope of the pair is out (non-overtaking).
+	op.pair.envQ.push(op)
 
-	// Per-message send-side progression work, then envelope latency, then
-	// protocol-specific data movement. An active straggler burst on the
-	// sender scales the progression work.
-	ready := sim.NewSignal()
+	// An active straggler burst on the sender scales the progression work.
 	so := w.Pers.SendOverhead
 	if s := w.faults.OverheadScale(srcW); s != 1 {
 		so *= s
 	}
 	ov := w.Mach.CPUWork(srcW, so)
-	ov.Done().OnFire(func() {
-		eng.Schedule(sim.Time(w.latency(srcW, dstW)), func() { ready.Fire(eng) })
-	})
-
-	// Envelopes between one (src, dst) pair are delivered in issue order —
-	// MPI's non-overtaking guarantee. Without this, concurrent send
-	// overhead flows of back-to-back Isends complete together and could
-	// hand envelopes to the matching engine out of program order.
-	key := pairKey{srcW, dstW}
-	prevEnv := w.envTail[key]
-	mine := sim.NewSignal()
-	w.envTail[key] = mine
-	gate := sim.NewCounter(eng, 2)
-	ready.OnFire(gate.Done)
-	if prevEnv == nil {
-		gate.Done()
-	} else {
-		prevEnv.OnFire(gate.Done)
-	}
-	gate.Signal().OnFire(func() {
-		if msg.eager {
-			if w.faults.DropsEnabled() || w.crash != nil {
-				w.startEagerReliable(msg, req, startData, srcW, dstW)
-			} else {
-				startData(func() {
-					msg.dataArrived.Fire(eng)
-					req.Complete(eng)
-				})
-			}
-		} else {
-			msg.onMatch = func() {
-				// Clear-to-send travels back, then the payload moves.
-				eng.Schedule(sim.Time(w.latency(dstW, srcW)), func() {
-					startData(func() {
-						msg.dataArrived.Fire(eng)
-						req.Complete(eng)
-					})
-				})
-			}
-		}
-		w.deliver(c.ctx, dstW, msg)
-		mine.Fire(eng)
-	})
+	ov.Done().OnFire(op.onSendOvDone)
 	return req
-}
-
-// startEagerReliable moves an eager payload under an active drop plan:
-// each transmission attempt may be lost (the injector decides, drawing
-// from the world's seeded RNG), so the sender arms a retransmission
-// timeout with exponential backoff and keeps resending until one attempt
-// drains intact, at which point an ack travels back and completes the send
-// request. Dropped payloads still charge the wire — the bytes moved before
-// vanishing. The injector caps consecutive drops per message, bounding
-// worst-case latency.
-func (w *World) startEagerReliable(msg *message, req *Request, startData func(func()), srcW, dstW int) {
-	eng := w.Eng()
-	attempt := 0
-	acked := false
-	var rto sim.Timer
-	var try func()
-	try = func() {
-		if acked || req.err != nil {
-			return
-		}
-		cs := w.crash
-		if cs != nil && cs.dead[dstW] {
-			// Declared dead while we were retransmitting: stop resending.
-			rto.Cancel()
-			req.fail(eng, &PeerDeadError{Rank: dstW, Via: cs.deadVia(dstW)})
-			return
-		}
-		a := attempt
-		attempt++
-		if cs != nil && a >= w.sendAttemptCap() {
-			// Retransmit escalation: every bounded attempt went unacked, so
-			// the sender renders its own peer-dead verdict (crash.go).
-			rto.Cancel()
-			rtos := make([]float64, a)
-			for k := range rtos {
-				rtos[k] = w.faults.RTO(k)
-			}
-			req.fail(eng, &PeerUnreachableError{Rank: dstW, Attempts: a, RTOs: rtos})
-			w.declareDead(dstW, "retransmit")
-			return
-		}
-		if a > 0 {
-			w.m.retransmits.Inc()
-		}
-		var dropped bool
-		if cs != nil && cs.crashed[dstW] {
-			// The receiver's NIC is gone: the payload vanishes unacked,
-			// without drawing plan randomness.
-			dropped = true
-		} else if dropped = w.faults.DropEager(float64(eng.Now()), a); dropped {
-			w.m.dropsInjected.Inc()
-			w.Tracer.Record(trace.Event{
-				T: float64(eng.Now()), Rank: srcW, Kind: trace.KindDrop,
-				Name: "drop", Size: msg.size, Peer: dstW,
-			})
-		}
-		startData(func() {
-			if acked || dropped {
-				return
-			}
-			acked = true
-			rto.Cancel()
-			msg.dataArrived.Fire(eng)
-			// The ack travels back one envelope latency; only then may the
-			// sender retire the message.
-			eng.Schedule(sim.Time(w.latency(dstW, srcW)), func() { req.Complete(eng) })
-		})
-		// Arm the retransmission timeout for this attempt. If it fires
-		// before an intact payload drained, resend. A retransmit issued
-		// while an earlier intact attempt is still queued is spurious but
-		// harmless: the late duplicate sees acked and is ignored.
-		eng.AfterInto(&rto, sim.Time(w.faults.RTO(a)), func() {
-			if !acked {
-				try()
-			}
-		})
-	}
-	try()
 }
 
 // Irecv posts a non-blocking receive into buf from comm rank src (or
@@ -330,41 +187,34 @@ func (c *Comm) Irecv(p *Proc, buf Buf, src, tag int) *Request {
 		panic("mpi: Irecv by non-member rank")
 	}
 	w := c.w
-	if cs := w.crash; cs != nil && src != AnySource {
-		if srcW := c.ranks[src]; cs.dead[srcW] {
-			// Nothing will ever arrive from a declared-dead peer.
-			w.m.deadLetters.Inc()
-			req := NewRequest()
-			req.site = WaitSite{Op: "recv", Peer: src, Tag: tag, Ctx: c.ctx}
-			req.fail(w.Eng(), &PeerDeadError{Rank: srcW, Via: cs.deadVia(srcW)})
-			return req
-		}
+	if w.oracle != nil {
+		return w.oracle.irecv(c, p, buf, src, tag)
+	}
+	srcW := AnySource
+	if src != AnySource {
+		srcW = c.ranks[src]
+	}
+	req := w.newRequest(srcW)
+	req.site = WaitSite{Op: "recv", Peer: src, Tag: tag, Ctx: c.ctx}
+	if w.failIfDead(req, srcW) {
+		// Nothing will ever arrive from a declared-dead peer.
+		return req
 	}
 	w.m.recvsPosted.Inc()
-	var r *recvReq
-	if w.p2pPooled() {
-		r = w.recvPool.Get()
-		r.src, r.tag, r.buf, r.comm, r.dstWorld = src, tag, buf, c, p.Rank
-		r.req = w.reqPool.Get()
-	} else {
-		r = &recvReq{src: src, tag: tag, buf: buf, req: NewRequest(), comm: c, dstWorld: p.Rank}
-	}
-	r.req.site = WaitSite{Op: "recv", Peer: src, Tag: tag, Ctx: c.ctx}
+	r := w.recvPool.Get()
+	r.src, r.tag, r.buf, r.comm, r.dstWorld = src, tag, buf, c, p.Rank
+	r.req = req
 	ep := w.endpoint(c.ctx, p.Rank)
 	for i, m := range ep.unexpected {
 		if matches(r, m) {
 			ep.unexpected = removeMsgAt(ep.unexpected, i)
 			w.match(r, m)
-			return r.req
+			return req
 		}
 	}
 	ep.posted = append(ep.posted, r)
-	if cs := w.crash; cs != nil && src != AnySource {
-		if srcW := c.ranks[src]; cs.isTarget[srcW] {
-			cs.watch[srcW] = append(cs.watch[srcW], watchEntry{req: r.req, rr: r, ep: ep})
-		}
-	}
-	return r.req
+	w.watch(srcW, watchEntry{req: req, rr: r, ep: ep})
+	return req
 }
 
 // deliver hands an arrived envelope to the receiver's matching engine.
@@ -400,31 +250,8 @@ func (w *World) match(r *recvReq, m *message) {
 	if !m.eager && m.onMatch != nil {
 		m.onMatch()
 	}
-	if r.pooled {
-		// Pooled receives complete through their persistent closures
-		// (pool.go); the inline registration below is the reference path.
-		r.m = m
-		m.dataArrived.OnFire(r.onData)
-		return
-	}
-	eng := w.Eng()
-	m.dataArrived.OnFire(func() {
-		ro := w.Pers.RecvOverhead
-		if s := w.faults.OverheadScale(r.dstWorld); s != 1 {
-			ro *= s
-		}
-		ov := w.Mach.CPUWork(r.dstWorld, ro)
-		ov.Done().OnFire(func() {
-			r.buf.Slice(0, m.size).CopyFrom(m.data)
-			w.Tracer.Record(trace.Event{
-				T: float64(eng.Now()), Rank: r.dstWorld, Kind: trace.KindDeliver,
-				Name: "deliver", Size: m.size, Peer: r.comm.ranks[m.src],
-			})
-			w.m.delivered.Inc()
-			w.m.deliveredBytes.Add(float64(m.size))
-			r.req.Complete(eng)
-		})
-	})
+	r.m = m
+	m.dataArrived.OnFire(r.onData)
 }
 
 // Send is the blocking form of Isend.

@@ -7,34 +7,36 @@ import (
 	"github.com/hanrepro/han/internal/trace"
 )
 
-// This file implements the arena-pooled P2P fast path. It is a
-// re-plumbing of p2p.go's reference implementation, not a re-modeling:
-// the per-send signal chains (pairTail/envTail) and counters become
-// explicit FIFO queues on a persistent per-pair pairState, and the
-// per-send closures become persistent closures created once per pool
-// slot. Every engine-visible action — flow starts, Schedule calls,
-// signal fires, latency/RNG draws — happens at the same call points in
-// the same order, so the two paths are bit-identical; the differential
-// suites hold them to that.
+// This file implements the P2P protocol on arena-pooled records. Each
+// send is a pooled sendOp whose persistent closures, created once per
+// pool slot, drive the protocol; each directed pair of ranks has a
+// persistent pairState holding the cached data path and two FIFO queues:
+// the wire queue (one payload on the wire at a time, in program order)
+// and the envelope queue (MPI's non-overtaking guarantee). Receives are
+// pooled recvReqs.
 //
-// The mode is decided world-wide at the first Isend/Irecv (p2pPooled): a
-// pair's wire and envelope FIFOs cannot interleave a signal chain with a
-// queue, so a world is either all-pooled or all-reference. Drop plans
-// force the reference path — startEagerReliable's retransmission state
-// is per-attempt and not worth pooling.
-
-// P2P mode, resolved once per world at the first send or receive.
-const (
-	p2pUndecided = iota
-	p2pPooledMode
-	p2pReferenceMode
-)
+// Under a drop or crash plan eager sends run the reliable protocol
+// (startReliable): every transmission attempt joins the pair's wire queue
+// like any other payload, a retransmission timeout with exponential
+// backoff resends, and the first intact attempt to drain sends back the
+// ack that completes the request. With crashes armed, operations
+// addressed at a crash target take heap requests (newRequest, crash.go).
+// A record that a crash strands — a dead letter, a cleared endpoint, an
+// unlinked receive — is left to the garbage collector: it goes back to
+// its pool only when nothing can reach it any more.
+//
+// The reference implementation the differential suites hold this one to
+// lives in oracle_test.go. Both perform every engine-visible action —
+// flow start, Schedule, signal fire, latency/RNG draw — at the same call
+// point in the same order, so their sim bits are identical.
 
 // sendOp is the pooled per-send record: the message, the wire/envelope
 // queue linkage, and the persistent closures that drive the protocol. It
-// is created by isendPooled and released once both the wire side
-// (payload drained, send request completed) and the receive side
-// (payload copied out) are done with it — refs counts those two.
+// is created by Isend and released when refs drops to zero. refs
+// counts the receive side (payload copied out) and the sender side
+// (envelope out and, outside the reliable protocol, payload drained);
+// the reliable protocol adds one per attempt on the wire, one for a
+// pending RTO and one for a pending ack.
 type sendOp struct {
 	w    *World
 	msg  message
@@ -45,9 +47,14 @@ type sendOp struct {
 	ctx        int
 	bytes      float64 // wire bytes (size / protocol efficiency)
 	envReady   bool    // own envelope latency has elapsed
+	reliable   bool    // this send runs the reliable protocol (rel)
 	refs       int
 
 	dataSig sim.Signal // backs msg.dataArrived
+
+	// rel is the reliable protocol's state, carved on the op's first
+	// reliable send and kept across reuse, so clean runs never pay for it.
+	rel *reliableState
 
 	// Persistent closures, created once in the pool's Init hook.
 	onSendOvDone func() // send-side progression work finished
@@ -57,6 +64,18 @@ type sendOp struct {
 	onWireDone   func() // payload drained from the wire
 
 	slot arena.Slot
+}
+
+// reliableState is a sendOp's reliable eager protocol state
+// (startReliable) with its persistent closures.
+type reliableState struct {
+	acked    bool      // an intact attempt drained
+	attempt  int       // transmissions issued
+	drops    []bool    // per attempt on the wire, FIFO: was it dropped
+	dropHead int       // oldest attempt still on the wire
+	rto      sim.Timer // holds a ref while Active; persists across reuse
+	onRTO    func()    // retransmission timeout expired
+	onAck    func()    // ack arrived back at the sender
 }
 
 // opQueue is a FIFO of sendOps with O(1) push/pop and a reusable backing
@@ -83,10 +102,13 @@ func (q *opQueue) pop() *sendOp {
 	return o
 }
 
-// pairState is the persistent per-directed-pair state replacing the
-// pairTail/envTail signal chains: the cached data path, the wire FIFO
-// (one payload on the wire at a time, program order), and the envelope
-// FIFO (MPI's non-overtaking guarantee).
+// pairState is the persistent per-directed-pair state: the cached data
+// path, the wire FIFO and the envelope FIFO. One payload is on a pair's
+// wire at a time, in program order, as on a real per-peer connection:
+// otherwise concurrent pipelined segments would fair-share the link and
+// complete together, which no MPI transport does. Envelopes are delivered
+// in issue order — MPI's non-overtaking guarantee — even when the send
+// overheads of back-to-back sends finish together.
 type pairState struct {
 	path     []*flow.Resource // cached dataPath(src, dst)
 	wireBusy bool             // a payload is on the wire
@@ -102,25 +124,6 @@ func (w *World) pair(srcW, dstW int) *pairState {
 		w.pairs[k] = ps
 	}
 	return ps
-}
-
-// p2pPooled resolves (once, lazily) whether this world's P2P traffic
-// runs on the pooled or the reference path. Lazy because fault plans
-// attach after NewWorld; by the first send or receive the world's
-// configuration is final.
-func (w *World) p2pPooled() bool {
-	if w.p2pMode == p2pUndecided {
-		// Drop plans force the reference path (per-attempt retransmission
-		// state), and so do crash plans: the watch registry and declaration
-		// machinery hold *Request pointers across collective boundaries,
-		// which pooled recycling would turn into stale slots.
-		if w.pooling && !w.faults.DropsEnabled() && w.crash == nil {
-			w.p2pMode = p2pPooledMode
-		} else {
-			w.p2pMode = p2pReferenceMode
-		}
-	}
-	return w.p2pMode == p2pPooledMode
 }
 
 func (w *World) initPools() {
@@ -143,9 +146,8 @@ func (w *World) initPools() {
 			op.msg.dataArrived = &op.dataSig
 			op.msg.op = op
 			op.onSendOvDone = func() {
-				// Same draw point as the reference path: envelope latency
-				// (and its jitter, if any) is sampled when the send-side
-				// progression work finishes.
+				// Envelope latency (and its jitter, if any) is sampled when
+				// the send-side progression work finishes.
 				eng.Schedule(sim.Time(w.latency(op.srcW, op.dstW)), op.onEnvLat)
 			}
 			op.onEnvLat = func() {
@@ -171,13 +173,18 @@ func (w *World) initPools() {
 			op.bytes = 0
 			op.envReady = false
 			op.refs = 0
+			op.reliable = false
+			if rel := op.rel; rel != nil {
+				// Every attempt drained before the last ref went, so the
+				// drop FIFO is already rewound.
+				rel.acked, rel.attempt = false, 0
+			}
 		},
 		Slot: func(op *sendOp) *arena.Slot { return &op.slot },
 	})
 	w.recvPool = arena.NewPool(arena.Options[recvReq]{
 		Name: "mpi.recvReq",
 		Init: func(r *recvReq) {
-			r.pooled = true
 			r.onData = func() {
 				ro := w.Pers.RecvOverhead
 				if s := w.faults.OverheadScale(r.dstWorld); s != 1 {
@@ -222,66 +229,10 @@ func (w *World) decref(op *sendOp) {
 	}
 }
 
-// isendPooled is Isend on the arena path. The protocol sequencing
-// mirrors the reference implementation action for action; see the file
-// comment.
-func (c *Comm) isendPooled(p *Proc, buf Buf, dst, tag int, me int) *Request {
-	w := c.w
-	req := w.reqPool.Get()
-	req.site = WaitSite{Op: "send", Peer: dst, Tag: tag, Ctx: c.ctx}
-	srcW, dstW := p.Rank, c.ranks[dst]
-
-	// Snapshot real payloads so the sender may reuse its buffer as soon as
-	// the request completes, regardless of when the receiver copies.
-	data := buf
-	if buf.Real() {
-		cp := make([]byte, buf.N)
-		copy(cp, buf.B)
-		data = Bytes(cp)
-	}
-
-	op := w.sendPool.Get()
-	op.req = req
-	op.srcW, op.dstW, op.ctx = srcW, dstW, c.ctx
-	op.refs = 2 // wire side + receive side
-	op.msg.src, op.msg.tag, op.msg.size = me, tag, buf.Len()
-	op.msg.data = data
-	op.msg.eager = buf.Len() <= w.Pers.EagerThreshold
-	// Eff is a pure function of the size, so evaluating it here instead of
-	// at wire time (as the reference does) is value-identical.
-	op.bytes = float64(op.msg.size) / w.Pers.Eff(max(op.msg.size, 1))
-	op.pair = w.pair(srcW, dstW)
-
-	w.Tracer.Record(trace.Event{
-		T: float64(p.Now()), Rank: srcW, Kind: trace.KindSend,
-		Name: "send", Size: buf.Len(), Peer: dstW,
-	})
-	if op.msg.eager {
-		w.m.sendsEager.Inc()
-	} else {
-		w.m.sendsRdv.Inc()
-	}
-	w.m.sentBytes.Add(float64(buf.Len()))
-	w.m.msgSize.Observe(float64(buf.Len()))
-
-	// Enqueue in issue order now; the envelope is delivered by drainEnv
-	// once the send overhead + latency have elapsed AND every earlier
-	// envelope of the pair is out (non-overtaking).
-	op.pair.envQ.push(op)
-
-	so := w.Pers.SendOverhead
-	if s := w.faults.OverheadScale(srcW); s != 1 {
-		so *= s
-	}
-	ov := w.Mach.CPUWork(srcW, so)
-	ov.Done().OnFire(op.onSendOvDone)
-	return req
-}
-
 // drainEnv delivers every head-of-queue envelope whose latency has
-// elapsed. The loop reproduces the reference path's envTail cascade: a
-// delivery unblocks the next envelope, which (if its latency already
-// elapsed) is delivered immediately after — same order, same instant.
+// elapsed: a delivery unblocks the next envelope, which (if its latency
+// already elapsed) is delivered immediately after — same order, same
+// instant.
 func (w *World) drainEnv(ps *pairState) {
 	for !ps.envQ.empty() {
 		op := ps.envQ.peek()
@@ -293,13 +244,16 @@ func (w *World) drainEnv(ps *pairState) {
 	}
 }
 
-// envelopeArrived is the reference path's gate callback: start (or arm)
-// the data movement, then hand the envelope to the matching engine. For
-// eager sends the wire is engaged before delivery, exactly as the
-// reference does.
+// envelopeArrived starts (or arms) the data movement, then hands the
+// envelope to the matching engine. For eager sends the wire is engaged
+// before delivery.
 func (w *World) envelopeArrived(op *sendOp) {
 	if op.msg.eager {
-		op.pair.startData(w, op)
+		if w.faults.DropsEnabled() || w.crash != nil {
+			w.startReliable(op)
+		} else {
+			op.pair.startData(w, op)
+		}
 	} else {
 		op.msg.onMatch = op.onMatchFn
 	}
@@ -307,8 +261,7 @@ func (w *World) envelopeArrived(op *sendOp) {
 }
 
 // startData engages the pair's wire for op's payload, or queues it FIFO
-// behind the payload currently draining — the queue is the pooled form
-// of the reference pairTail signal chain.
+// behind the payload currently draining.
 func (ps *pairState) startData(w *World, op *sendOp) {
 	if ps.wireBusy {
 		ps.wireQ.push(op)
@@ -324,9 +277,8 @@ func (w *World) runWire(op *sendOp) {
 }
 
 // wireDrained retires a drained payload: start the next queued payload
-// first (the reference fires the pair chain before the per-send done
-// callback — event creation order must match), then mark the payload
-// arrived and complete the send request.
+// first (event creation order: the wire moves on before the sender
+// reacts), then mark the payload arrived and complete the send request.
 func (w *World) wireDrained(op *sendOp) {
 	ps := op.pair
 	if !ps.wireQ.empty() {
@@ -334,10 +286,148 @@ func (w *World) wireDrained(op *sendOp) {
 	} else {
 		ps.wireBusy = false
 	}
+	if op.reliable {
+		w.attemptDrained(op)
+		return
+	}
 	eng := w.Eng()
 	op.msg.dataArrived.Fire(eng)
 	op.req.Complete(eng)
 	w.decref(op)
+}
+
+// startReliable moves an eager payload under a drop or crash plan: each
+// transmission attempt may be lost (the injector decides, drawing from
+// the world's seeded RNG), so the sender arms a retransmission timeout
+// with exponential backoff and keeps resending until one attempt drains
+// intact, at which point an ack travels back and completes the send
+// request. Dropped payloads still charge the wire — the bytes moved
+// before vanishing. The injector caps consecutive drops per message,
+// bounding worst-case latency; with crashes armed, the attempt cap
+// escalates to a peer-dead verdict (crash.go).
+func (w *World) startReliable(op *sendOp) {
+	if op.rel == nil {
+		w.carveReliable(op)
+	}
+	op.reliable = true
+	w.transmit(op)
+	// Attempts, the RTO and the ack hold their own refs from here on.
+	w.decref(op)
+}
+
+// carveReliable gives op its reliable-protocol state and persistent
+// closures.
+func (w *World) carveReliable(op *sendOp) {
+	eng := w.Eng()
+	rel := &reliableState{}
+	rel.onRTO = func() {
+		if !rel.acked {
+			w.transmit(op)
+		}
+		w.decref(op)
+	}
+	rel.onAck = func() {
+		if op.req != nil {
+			op.req.Complete(eng)
+		}
+		w.decref(op)
+	}
+	op.rel = rel
+}
+
+// transmit issues the next attempt of a reliable send and arms its RTO,
+// or ends the protocol with a failed request when the peer is dead or
+// every bounded attempt went unacked.
+func (w *World) transmit(op *sendOp) {
+	rel := op.rel
+	if rel.acked || op.req == nil || op.req.err != nil {
+		return
+	}
+	eng := w.Eng()
+	dstW := op.dstW
+	cs := w.crash
+	if cs != nil && cs.dead[dstW] {
+		// Declared dead while we were retransmitting: stop resending.
+		w.cancelRTO(op)
+		w.failSend(op, &PeerDeadError{Rank: dstW, Via: cs.deadVia(dstW)})
+		return
+	}
+	a := rel.attempt
+	rel.attempt++
+	if cs != nil && a >= w.sendAttemptCap() {
+		// Retransmit escalation: every bounded attempt went unacked, so
+		// the sender renders its own peer-dead verdict.
+		w.cancelRTO(op)
+		rtos := make([]float64, a)
+		for k := range rtos {
+			rtos[k] = w.faults.RTO(k)
+		}
+		w.failSend(op, &PeerUnreachableError{Rank: dstW, Attempts: a, RTOs: rtos})
+		w.declareDead(dstW, "retransmit")
+		return
+	}
+	if a > 0 {
+		w.m.retransmits.Inc()
+	}
+	var dropped bool
+	if cs != nil && cs.crashed[dstW] {
+		// The receiver's NIC is gone: the payload vanishes unacked,
+		// without drawing plan randomness.
+		dropped = true
+	} else if dropped = w.faults.DropEager(float64(eng.Now()), a); dropped {
+		w.m.dropsInjected.Inc()
+		w.Tracer.Record(trace.Event{
+			T: float64(eng.Now()), Rank: op.srcW, Kind: trace.KindDrop,
+			Name: "drop", Size: op.msg.size, Peer: dstW,
+		})
+	}
+	rel.drops = append(rel.drops, dropped)
+	op.refs++
+	op.pair.startData(w, op)
+	// Arm the retransmission timeout for this attempt. A retransmit issued
+	// while an earlier intact attempt is still queued is spurious but
+	// harmless: the late duplicate sees acked and is ignored.
+	op.refs++
+	eng.AfterInto(&rel.rto, sim.Time(w.faults.RTO(a)), rel.onRTO)
+}
+
+// attemptDrained retires the oldest attempt of a reliable send still on
+// the wire. The first intact one marks the payload arrived and sends the
+// ack back; the ack completes the request one envelope latency later.
+func (w *World) attemptDrained(op *sendOp) {
+	rel := op.rel
+	dropped := rel.drops[rel.dropHead]
+	rel.dropHead++
+	if rel.dropHead == len(rel.drops) {
+		rel.drops = rel.drops[:0]
+		rel.dropHead = 0
+	}
+	if !rel.acked && !dropped {
+		rel.acked = true
+		w.cancelRTO(op)
+		eng := w.Eng()
+		op.msg.dataArrived.Fire(eng)
+		op.refs++
+		eng.Schedule(sim.Time(w.latency(op.dstW, op.srcW)), rel.onAck)
+	}
+	w.decref(op)
+}
+
+// cancelRTO disarms a pending retransmission timeout and drops its ref
+// (a timer is not Active inside its own callback). Callers hold another
+// ref, so op survives.
+func (w *World) cancelRTO(op *sendOp) {
+	if rto := &op.rel.rto; rto.Active() {
+		rto.Cancel()
+		w.decref(op)
+	}
+}
+
+// failSend fails a reliable send's request and detaches it: its owner may
+// now wait on it and recycle it, so a late ack must not touch it.
+func (w *World) failSend(op *sendOp, err error) {
+	op.req.fail(w.Eng(), err)
+	op.req = nil
 }
 
 // release returns a pooled request once its completion has been

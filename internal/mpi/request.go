@@ -28,11 +28,12 @@ func (s *WaitSite) String() string {
 // Request is the handle of a non-blocking operation (point-to-point or
 // collective). It completes exactly once.
 //
-// Requests handed out by the pooled P2P path are recycled through the
-// world's arena the moment Proc.Wait observes their completion: a waited
-// request must not be touched again (the wait-once discipline hanlint's
-// reqwait pass enforces). Requests from NewRequest are heap-allocated and
-// never recycled.
+// Send and receive requests come from the world's arena and are recycled
+// the moment Proc.Wait observes their completion: a waited request must
+// not be touched again (the wait-once discipline hanlint's reqwait pass
+// enforces). Requests from NewRequest are heap-allocated and never
+// recycled; so are sends and receives addressed at a rank an attached
+// crash plan can kill.
 type Request struct {
 	doneSig sim.Signal
 	site    WaitSite
@@ -63,10 +64,11 @@ func (r *Request) Complete(e *sim.Engine) { r.doneSig.Fire(e) }
 
 // Err returns the failure recorded on the request: a *PeerDeadError or
 // *PeerUnreachableError when the operation's peer died, nil for a normal
-// (or still pending) completion. Valid only on heap requests — pooled
-// requests are recycled the moment their Wait returns, but the crash
-// machinery forces the reference (heap) P2P path whenever crashes are
-// armed, so every request that can fail is inspectable.
+// (or still pending) completion. Operations addressed at a rank an
+// attached crash plan can kill get heap requests, so their Err stays
+// readable after Wait. Pooled requests are recycled when Wait returns; the
+// only way one fails is retransmit escalation against a rank no crash spec
+// names (SetMaxSendAttempts), and that verdict must be read before Wait.
 func (r *Request) Err() error { return r.err }
 
 // fail completes the request with an error. First failure wins; failing an

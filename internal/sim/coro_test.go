@@ -107,8 +107,8 @@ func TestKillBeforeStartOnReusedCoroutine(t *testing.T) {
 	if first == nil || third != first {
 		t.Fatalf("third process ran on coroutine %p, want the reused %p", third, first)
 	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d after drain", e.LiveProcs())
+	if e.liveProcs() != 0 {
+		t.Fatalf("liveProcs = %d after drain", e.liveProcs())
 	}
 }
 
@@ -193,8 +193,8 @@ func TestParallelCoroutinesMigrateAcrossWorkers(t *testing.T) {
 			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
 				t.Fatalf("rep %d partition %d: visit times %v, oracle %v", rep, i, got[i], want[i])
 			}
-			if e := par.Part(i).Engine(); len(e.idle) != 0 || e.LiveProcs() != 0 {
-				t.Fatalf("rep %d partition %d: %d idle coroutines, %d live processes after the run", rep, i, len(e.idle), e.LiveProcs())
+			if e := par.Part(i).Engine(); len(e.idle) != 0 || e.liveProcs() != 0 {
+				t.Fatalf("rep %d partition %d: %d idle coroutines, %d live processes after the run", rep, i, len(e.idle), e.liveProcs())
 			}
 		}
 	}

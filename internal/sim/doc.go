@@ -51,11 +51,11 @@
 // owns a private Engine with disjoint state, partitions exchange messages
 // only through Link FIFOs with declared minimum latencies, and a windowed
 // coordinator advances every partition to a common horizon per round. The
-// incremental-advance Engine methods this requires — RunUntil,
-// NextEventTime, LiveProcs — belong to the coordinator's window loop
-// alone: hanlint's partitionbound pass forbids them outside this package,
-// because interleaving two RunUntil drivers (or branching on
-// NextEventTime outside the barrier protocol) silently breaks the
+// incremental-advance Engine methods this requires — runUntil,
+// nextEventTime, liveProcs — belong to the coordinator's window loop
+// alone, so they are unexported and the compiler rejects them outside
+// this package: interleaving two runUntil drivers (or branching on
+// nextEventTime outside the barrier protocol) would silently break the
 // bit-identity contract with the serial oracle. Everyone else drives an
 // engine with Engine.Run or through a Parallel coordinator. Within a
 // window a partition's engine, with its process coroutines, migrates to

@@ -187,7 +187,7 @@ func (p *Parallel) nextTime() (Time, bool) {
 	var best Time
 	ok := false
 	for _, pt := range p.parts {
-		if t, has := pt.eng.NextEventTime(); has && (!ok || t < best) {
+		if t, has := pt.eng.nextEventTime(); has && (!ok || t < best) {
 			best, ok = t, true
 		}
 		for _, d := range pt.inbox {
@@ -216,14 +216,14 @@ func (p *Parallel) firstErr() error {
 func (p *Parallel) deadlock() error {
 	live := 0
 	for _, pt := range p.parts {
-		live += pt.eng.LiveProcs()
+		live += pt.eng.liveProcs()
 	}
 	if live == 0 {
 		return nil
 	}
 	d := &ParallelDeadlockError{}
 	for _, pt := range p.parts {
-		if pt.eng.LiveProcs() == 0 {
+		if pt.eng.liveProcs() == 0 {
 			continue
 		}
 		for _, pp := range pt.eng.ParkedSites() {
@@ -256,7 +256,7 @@ type Partition struct {
 	// active marks the partition as currently inside advance, so Send can
 	// assert it runs in its source partition's window.
 	active bool
-	// err latches the partition's RunUntil error (Stop or event budget).
+	// err latches the partition's runUntil error (Stop or event budget).
 	err error
 }
 
@@ -276,7 +276,7 @@ func (pt *Partition) advance(horizon Time) {
 	pt.active = true
 	defer func() { pt.active = false }()
 	pt.scheduleArrivals(horizon)
-	pt.err = pt.eng.RunUntil(horizon)
+	pt.err = pt.eng.runUntil(horizon)
 }
 
 // scheduleArrivals sorts the inbox into canonical (time, link, sequence)

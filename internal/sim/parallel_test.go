@@ -15,20 +15,20 @@ func TestRunUntilBoundaryIsExclusive(t *testing.T) {
 		at := at
 		e.At(at, func() { fired = append(fired, at) })
 	}
-	if err := e.RunUntil(2); err != nil {
+	if err := e.runUntil(2); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 1 || fired[0] != 1 {
-		t.Fatalf("RunUntil(2) fired %v, want [1]", fired)
+		t.Fatalf("runUntil(2) fired %v, want [1]", fired)
 	}
-	if next, ok := e.NextEventTime(); !ok || next != 2 {
-		t.Fatalf("NextEventTime = %v, %v; want 2, true", next, ok)
+	if next, ok := e.nextEventTime(); !ok || next != 2 {
+		t.Fatalf("nextEventTime = %v, %v; want 2, true", next, ok)
 	}
-	if err := e.RunUntil(10); err != nil {
+	if err := e.runUntil(10); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 3 {
-		t.Fatalf("after RunUntil(10): fired %v, want all three", fired)
+		t.Fatalf("after runUntil(10): fired %v, want all three", fired)
 	}
 }
 
@@ -40,11 +40,11 @@ func TestRunUntilPreservesSameInstantOrder(t *testing.T) {
 	var order []string
 	e.At(5, func() { order = append(order, "first") })
 	e.At(5, func() { order = append(order, "second") })
-	if err := e.RunUntil(5); err != nil { // boundary: dispatches nothing
+	if err := e.runUntil(5); err != nil { // boundary: dispatches nothing
 		t.Fatal(err)
 	}
 	if len(order) != 0 {
-		t.Fatalf("RunUntil(5) dispatched %v, want nothing (exclusive bound)", order)
+		t.Fatalf("runUntil(5) dispatched %v, want nothing (exclusive bound)", order)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -59,8 +59,8 @@ func TestNextEventTimeSkipsCancelled(t *testing.T) {
 	tm := e.At(1, func() { t.Fatal("cancelled event fired") })
 	e.At(2, func() {})
 	tm.Cancel()
-	if next, ok := e.NextEventTime(); !ok || next != 2 {
-		t.Fatalf("NextEventTime = %v, %v; want 2, true (cancelled top skipped)", next, ok)
+	if next, ok := e.nextEventTime(); !ok || next != 2 {
+		t.Fatalf("nextEventTime = %v, %v; want 2, true (cancelled top skipped)", next, ok)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -746,27 +746,27 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// RunUntil dispatches every event with time strictly less than limit and
+// runUntil dispatches every event with time strictly less than limit and
 // returns. Unlike Run it does not diagnose deadlock: a process parked when
 // the queue drains below limit may legitimately be waiting for input that a
 // later window delivers. It is the window primitive of the parallel engine
 // (see Parallel); ordinary simulations should call Run. The same ownership
-// contract applies — between RunUntil calls the engine may migrate to
+// contract applies — between runUntil calls the engine may migrate to
 // another host goroutine only through a happens-before edge (the parallel
 // engine's round barrier provides one).
 //
-// RunUntil returns nil when the queue is empty or the next event is at or
+// runUntil returns nil when the queue is empty or the next event is at or
 // past limit, an *ErrEventBudget if MaxEvents was exceeded, or the error
 // passed to Stop (a stopped engine keeps returning that error and dispatches
 // nothing further). A panic inside a process is re-panicked.
-func (e *Engine) RunUntil(limit Time) error {
+func (e *Engine) runUntil(limit Time) error {
 	return e.run(limit, true)
 }
 
-// NextEventTime reports the time of the earliest pending event, lazily
+// nextEventTime reports the time of the earliest pending event, lazily
 // discarding cancelled heap tops on the way. ok is false when no live event
 // is queued.
-func (e *Engine) NextEventTime() (t Time, ok bool) {
+func (e *Engine) nextEventTime() (t Time, ok bool) {
 	for len(e.events) > 0 {
 		top := e.events[0]
 		if top.ev.cancelled {
@@ -779,12 +779,12 @@ func (e *Engine) NextEventTime() (t Time, ok bool) {
 	return 0, false
 }
 
-// LiveProcs reports how many spawned processes have not yet finished. The
+// liveProcs reports how many spawned processes have not yet finished. The
 // parallel engine uses it after global quiescence to tell a clean drain from
 // a cross-partition deadlock.
-func (e *Engine) LiveProcs() int { return e.live }
+func (e *Engine) liveProcs() int { return e.live }
 
-// run is the dispatch core shared by Run and RunUntil. When bounded is set,
+// run is the dispatch core shared by Run and runUntil. When bounded is set,
 // dispatch stops (returning nil) once the earliest pending event is at or
 // past limit; when clear, limit is ignored and the queue drains fully.
 func (e *Engine) run(limit Time, bounded bool) (err error) {
